@@ -71,17 +71,16 @@
 //! per-point wall-time ratios.
 
 use aserta::{
-    timing_view, AnalysisSession, AsertaConfig, AsertaReport, CircuitCells, ExpectedWidths,
-    LoadModel, SessionSnapshot,
+    timing_view, AnalysisSession, AsertaConfig, AsertaReport, CircuitCells, EngineConfig,
+    ExpectedWidths, LoadModel, SessionSnapshot,
 };
 use ser_bench::corners::{sweep_fresh, sweep_session, CornerGrid};
 use ser_bench::timed;
 use ser_cells::{CharGrids, Library};
 use ser_logicsim::probability::static_probabilities_analytic;
 use ser_logicsim::sensitize::{
-    cone_chunk_size, sensitization_probabilities, sensitization_probabilities_cfg,
-    sensitization_probabilities_with_stats, sensitization_probabilities_with_stats_cfg,
-    simulation_threads, PijConfig,
+    sensitization_probabilities, sensitization_probabilities_cfg,
+    sensitization_probabilities_with_stats_cfg, PijConfig,
 };
 use ser_netlist::generate::{self, LayeredSpec, TiledSpec};
 use ser_netlist::Circuit;
@@ -204,7 +203,7 @@ fn main() {
     let runs = |section: &str| only.as_deref().is_none_or(|o| o == section);
 
     let (vectors, reps) = if smoke { (512, 3) } else { (4096, 3) };
-    let threads = simulation_threads();
+    let threads = EngineConfig::lenient_env().threads();
 
     let mut rows: Vec<Value> = Vec::new();
     if runs("circuits") {
@@ -739,8 +738,8 @@ fn measure_pij_kernel() -> Value {
     let circuit = generate::layered(&LayeredSpec::new("layered1k", 40, 12, 1000));
     let vectors = 200_000;
     let reps = 3;
-    let threads = simulation_threads();
-    let chunk = cone_chunk_size();
+    let engine = EngineConfig::lenient_env();
+    let (threads, chunk) = (engine.threads(), engine.cone_chunk());
 
     let scalar_cfg = PijConfig::fixed();
     let wide_cfg = PijConfig {
@@ -886,8 +885,8 @@ fn measure_scaling(smoke: bool) -> Value {
     };
     let vectors = if smoke { 512 } else { 1024 };
     let reps = 2;
-    let threads = simulation_threads();
-    let chunk = cone_chunk_size();
+    let engine = EngineConfig::lenient_env();
+    let (threads, chunk) = (engine.threads(), engine.cone_chunk());
 
     let mut points: Vec<Value> = Vec::new();
     for &gates in sizes {
@@ -906,7 +905,14 @@ fn measure_scaling(smoke: bool) -> Value {
         checked_analyze(&circuit, &cells, &mut lib, &cfg);
 
         let ((_, stats), first_s) = timed(|| {
-            sensitization_probabilities_with_stats(&circuit, vectors, SEED, threads, chunk)
+            sensitization_probabilities_with_stats_cfg(
+                &circuit,
+                vectors,
+                SEED,
+                threads,
+                chunk,
+                &engine.pij(),
+            )
         });
         let pij_s = first_s.min(best_of(reps - 1, || {
             timed(|| sensitization_probabilities(&circuit, vectors, SEED)).1

@@ -23,7 +23,6 @@
 
 use aserta::{analyze_fresh, AnalysisSession, AsertaConfig, CircuitCells};
 use ser_cells::Library;
-use ser_logicsim::sensitize::simulation_threads;
 use ser_netlist::Circuit;
 
 /// One operating corner: every gate moved to the given supply and
@@ -197,8 +196,8 @@ pub fn sweep_fresh(
 }
 
 /// The session engine: one warm [`AnalysisSession`] (cloned into up to
-/// `threads` replicas; 0 = the `SER_SIM_THREADS`/available-parallelism
-/// default), each corner applied as a cell-delta batch plus a charge
+/// `threads` replicas; 0 = the thread count of the session's resolved
+/// engine), each corner applied as a cell-delta batch plus a charge
 /// move. Results are bitwise identical to [`sweep_fresh`] and to every
 /// other thread count.
 pub fn sweep_session(
@@ -238,7 +237,7 @@ pub fn try_sweep_session(
             Err(e) => panic!("sweep_session: {e}"),
         };
     let workers = if threads == 0 {
-        simulation_threads()
+        session.engine().threads()
     } else {
         threads
     }

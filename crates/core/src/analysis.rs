@@ -8,7 +8,8 @@
 //! pins the reports bitwise against the pre-consolidation pipeline.
 
 use ser_cells::Library;
-use ser_logicsim::sensitize::sensitization_probabilities;
+use ser_logicsim::engine::EngineConfig;
+use ser_logicsim::sensitize::sensitization_probabilities_cfg;
 use ser_logicsim::SensitizationMatrix;
 use ser_netlist::{Circuit, NodeId};
 
@@ -142,8 +143,9 @@ pub fn analyze_fresh(
     }
 }
 
-/// Fallible [`analyze_fresh`] — validates the configuration *before*
-/// the Monte-Carlo `P_ij` estimate (whose kernels assert on e.g. zero
+/// Fallible [`analyze_fresh`] — validates the configuration and the
+/// strict engine environment ([`EngineConfig::from_env`]) *before* the
+/// Monte-Carlo `P_ij` estimate (whose kernels assert on e.g. zero
 /// vectors), then runs [`try_analyze`].
 ///
 /// # Errors
@@ -156,7 +158,15 @@ pub fn try_analyze_fresh(
     cfg: &AsertaConfig,
 ) -> Result<AsertaReport, AnalysisError> {
     crate::session::validate_config(cfg)?;
-    let pij = sensitization_probabilities(circuit, cfg.sensitization_vectors, cfg.seed);
+    let engine = EngineConfig::from_env()?;
+    let pij = sensitization_probabilities_cfg(
+        circuit,
+        cfg.sensitization_vectors,
+        cfg.seed,
+        engine.threads(),
+        engine.cone_chunk(),
+        &engine.pij(),
+    );
     try_analyze(circuit, cells, library, &pij, cfg)
 }
 

@@ -1,6 +1,6 @@
 //! Typed analysis errors and the poisoned-session taxonomy.
 //!
-//! The fallible entry points (`try_with_pij`, `try_apply`,
+//! The fallible entry points (`SessionBuilder::build`, `try_apply`,
 //! `try_set_cells`, `try_set_charge`, `try_resample_pij_rows`,
 //! [`try_analyze`](crate::try_analyze)) classify failures in two tiers:
 //!

@@ -22,7 +22,7 @@
 //!   the circuit's logic, so they are computed once and served from a
 //!   per-cone weight cache; `P_ij` likewise persists, with
 //!   [`AnalysisSession::resample_pij_rows`] re-simulating selected cones
-//!   (via [`ser_logicsim::sensitize::resimulate_rows`]) when the caller
+//!   (via [`ser_logicsim::sensitize::resimulate_rows_cfg`]) when the caller
 //!   wants sharper estimates for specific nodes.
 //!
 //! **Fidelity contract:** after any sequence of
@@ -76,9 +76,7 @@ use std::path::Path;
 use ser_cells::{CharacterizedCell, Library};
 use ser_logicsim::engine::EngineConfig;
 use ser_logicsim::probability::static_probabilities_analytic;
-use ser_logicsim::sensitize::{
-    resimulate_rows_cfg, sensitization_probabilities_cfg, sensitization_probabilities_governed_cfg,
-};
+use ser_logicsim::sensitize::{resimulate_rows_cfg, sensitization_probabilities_governed_cfg};
 use ser_logicsim::SensitizationMatrix;
 use ser_netlist::csr::CsrView;
 use ser_netlist::dirty::{close_over_fanout, strict_ancestors, SparseSet};
@@ -181,26 +179,22 @@ pub struct AnalysisSession<'c> {
 
 /// The single construction path for [`AnalysisSession`] — obtained via
 /// [`AnalysisSession::builder`], finished with
-/// [`SessionBuilder::build`].
-///
-/// The builder folds what used to be five constructor entry points
-/// (`new` / `try_new` / `with_pij` / `try_with_pij` /
-/// `try_new_governed`) into one fallible surface:
+/// [`SessionBuilder::build`]:
 ///
 /// * [`SessionBuilder::pij`] supplies a precomputed sensitization
 ///   matrix (to share one estimate across sessions); without it the
 ///   builder runs the Monte-Carlo estimate itself;
 /// * [`SessionBuilder::deadline`] installs a cooperative execution
-///   budget; when the builder estimates `P_ij` the estimate runs
-///   *governed* under it (truncations and memory-governor events are
-///   recorded as [`DegradationEvent`]s, exactly as the former
-///   `try_new_governed`);
+///   budget; when the builder estimates `P_ij` the estimate runs under
+///   it (a truncation is recorded as a [`DegradationEvent`]);
 /// * [`SessionBuilder::engine`] pins execution-resource knobs
 ///   (threads, chunking, soft memory budget); unset fields fall
 ///   through to the strict environment overlay
 ///   ([`EngineConfig::from_env`]) and then the built-in defaults —
-///   explicit > env > default. Results are bitwise identical for every
-///   engine setting.
+///   explicit > env > default. A builder-run estimate honors the soft
+///   memory budget with or without a deadline (memory-governor events
+///   are recorded as [`DegradationEvent`]s). Results are bitwise
+///   identical for every engine setting.
 #[derive(Debug)]
 #[must_use = "a SessionBuilder does nothing until `.build()`"]
 pub struct SessionBuilder<'c> {
@@ -262,20 +256,9 @@ impl<'c> SessionBuilder<'c> {
     pub fn build(self) -> Result<AnalysisSession<'c>, AnalysisError> {
         validate_config(&self.cfg)?;
         let engine = self.engine.overlay(&EngineConfig::from_env()?);
-        let (pij, events) = match (self.pij, &self.deadline) {
-            (Some(pij), _) => (pij, Vec::new()),
-            (None, None) => (
-                sensitization_probabilities_cfg(
-                    self.circuit,
-                    self.cfg.sensitization_vectors,
-                    self.cfg.seed,
-                    engine.threads(),
-                    engine.cone_chunk(),
-                    &engine.pij(),
-                ),
-                Vec::new(),
-            ),
-            (None, Some(deadline)) => {
+        let (pij, events) = match self.pij {
+            Some(pij) => (pij, Vec::new()),
+            None => {
                 let est = sensitization_probabilities_governed_cfg(
                     self.circuit,
                     self.cfg.sensitization_vectors,
@@ -283,7 +266,7 @@ impl<'c> SessionBuilder<'c> {
                     engine.threads(),
                     engine.cone_chunk(),
                     &engine.pij(),
-                    deadline,
+                    self.deadline.as_ref(),
                     engine.mem_soft_limit(),
                 )
                 .map_err(AnalysisError::Interrupted)?;
@@ -330,87 +313,6 @@ impl<'c> AnalysisSession<'c> {
             deadline: None,
             engine: EngineConfig::new(),
         }
-    }
-
-    /// Builds a session: estimates `P_ij` (once), runs one full analysis
-    /// and materializes every cache the incremental path serves from.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`AnalysisError`];
-    /// [`AnalysisSession::builder`] is the fallible form.
-    #[deprecated(since = "0.2.0", note = "use AnalysisSession::builder(..).build()")]
-    pub fn new(
-        circuit: &'c Circuit,
-        cells: CircuitCells,
-        library: Library,
-        cfg: AsertaConfig,
-    ) -> Self {
-        match Self::builder(circuit, cells, library, cfg).build() {
-            Ok(s) => s,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible constructor: validates the configuration before the
-    /// (expensive) `P_ij` estimate.
-    ///
-    /// # Errors
-    ///
-    /// See [`SessionBuilder::build`].
-    #[deprecated(since = "0.2.0", note = "use AnalysisSession::builder(..).build()")]
-    pub fn try_new(
-        circuit: &'c Circuit,
-        cells: CircuitCells,
-        library: Library,
-        cfg: AsertaConfig,
-    ) -> Result<Self, AnalysisError> {
-        Self::builder(circuit, cells, library, cfg).build()
-    }
-
-    /// Constructor with a caller-provided sensitization matrix (to
-    /// share one estimate across sessions).
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`AnalysisError`];
-    /// [`AnalysisSession::builder`] + [`SessionBuilder::pij`] is the
-    /// fallible form.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use AnalysisSession::builder(..).pij(..).build()"
-    )]
-    pub fn with_pij(
-        circuit: &'c Circuit,
-        cells: CircuitCells,
-        library: Library,
-        cfg: AsertaConfig,
-        pij: SensitizationMatrix,
-    ) -> Self {
-        match Self::builder(circuit, cells, library, cfg).pij(pij).build() {
-            Ok(s) => s,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible constructor over a caller-provided sensitization
-    /// matrix.
-    ///
-    /// # Errors
-    ///
-    /// See [`SessionBuilder::build`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use AnalysisSession::builder(..).pij(..).build()"
-    )]
-    pub fn try_with_pij(
-        circuit: &'c Circuit,
-        cells: CircuitCells,
-        library: Library,
-        cfg: AsertaConfig,
-        pij: SensitizationMatrix,
-    ) -> Result<Self, AnalysisError> {
-        Self::builder(circuit, cells, library, cfg).pij(pij).build()
     }
 
     /// The untrusted-input boundary of session construction: validates
@@ -507,33 +409,6 @@ impl<'c> AnalysisSession<'c> {
         };
         session.resum_unreliability();
         Ok(session)
-    }
-
-    /// Governed constructor: the Monte-Carlo `P_ij` estimate runs under
-    /// a cooperative execution budget. When the budget expires
-    /// mid-estimate, the completed blocks (a consistent partial
-    /// estimate over fewer vectors) are kept, the truncation is
-    /// recorded as a [`DegradationEvent::EstimateTruncated`], and
-    /// construction finishes over the partial matrix. The deadline
-    /// stays installed on the session.
-    ///
-    /// # Errors
-    ///
-    /// See [`SessionBuilder::build`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use AnalysisSession::builder(..).deadline(..).build()"
-    )]
-    pub fn try_new_governed(
-        circuit: &'c Circuit,
-        cells: CircuitCells,
-        library: Library,
-        cfg: AsertaConfig,
-        deadline: Deadline,
-    ) -> Result<Self, AnalysisError> {
-        Self::builder(circuit, cells, library, cfg)
-            .deadline(deadline)
-            .build()
     }
 
     /// The circuit under analysis.
@@ -1719,7 +1594,16 @@ mod tests {
 
         // Oracle: fresh analysis over the hand-patched matrix.
         let mut pij = ser_logicsim::sensitize::sensitization_probabilities(&c, 512, cfg().seed);
-        let up = ser_logicsim::sensitize::resimulate_rows(&c, &targets, 2048, 99);
+        let engine = session.engine();
+        let up = resimulate_rows_cfg(
+            &c,
+            &targets,
+            2048,
+            99,
+            engine.threads(),
+            engine.cone_chunk(),
+            &engine.pij(),
+        );
         pij.apply_update(&up);
         let mut l = lib();
         let fresh = analyze(&c, session.cells(), &mut l, &pij, session.config());
@@ -1946,32 +1830,34 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_shims_match_the_builder() {
-        let c = generate::c17();
-        let built = AnalysisSession::builder(&c, CircuitCells::nominal(&c), lib(), cfg())
+    fn soft_memory_limit_applies_without_a_deadline() {
+        // A 1 KiB budget shrinks the chunks to one root and sheds cones
+        // LRU-first, with no deadline installed; the estimate stays
+        // bitwise equal to an unlimited build.
+        let c = generate::iscas85("c499").unwrap();
+        let mut cfg = cfg();
+        cfg.sensitization_vectors = 1024;
+        let plain = AnalysisSession::builder(&c, CircuitCells::nominal(&c), lib(), cfg.clone())
             .build()
             .unwrap();
-        let legacy = AnalysisSession::try_new(&c, CircuitCells::nominal(&c), lib(), cfg()).unwrap();
-        assert_eq!(legacy.unreliability(), built.unreliability());
-        assert_eq!(legacy.pij(), built.pij());
-        let shared = AnalysisSession::with_pij(
-            &c,
-            CircuitCells::nominal(&c),
-            lib(),
-            cfg(),
-            built.pij().clone(),
+        let limited = AnalysisSession::builder(&c, CircuitCells::nominal(&c), lib(), cfg)
+            .engine(EngineConfig::new().with_mem_soft_limit(1024))
+            .build()
+            .unwrap();
+        assert_eq!(
+            limited.degradations(),
+            &[
+                DegradationEvent::ChunkShrunk {
+                    from: 128,
+                    to: 1,
+                    limit_bytes: 1024,
+                },
+                DegradationEvent::ConesShed { evictions: 217 },
+            ]
         );
-        assert_eq!(shared.unreliability(), built.unreliability());
-        let governed = AnalysisSession::try_new_governed(
-            &c,
-            CircuitCells::nominal(&c),
-            lib(),
-            cfg(),
-            Deadline::within(std::time::Duration::from_secs(3600)),
-        )
-        .unwrap();
-        assert_eq!(governed.unreliability(), built.unreliability());
+        assert!(plain.degradations().is_empty());
+        assert_eq!(limited.pij(), plain.pij());
+        assert_eq!(limited.unreliability(), plain.unreliability());
     }
 
     #[test]

@@ -30,10 +30,10 @@
 //! overlay ([`EngineConfig::from_env`]) and then to the built-in
 //! default. The strict [`EngineConfig::from_env`] rejects malformed
 //! variable values with a typed [`EngineConfigError`];
-//! [`EngineConfig::lenient_env`] preserves the historical
-//! silently-ignore-garbage behavior for the legacy free functions
-//! ([`sensitize::simulation_threads`](crate::sensitize::simulation_threads)
-//! and friends) that cannot surface an error.
+//! [`EngineConfig::lenient_env`] silently ignores them, for callers
+//! that cannot surface an error (the plain
+//! [`sensitization_probabilities`](crate::sensitize::sensitization_probabilities),
+//! command-line tools, examples and tests).
 //!
 //! # Example
 //!
@@ -251,10 +251,8 @@ impl EngineConfig {
 
     /// The **lenient** environment overlay: like
     /// [`EngineConfig::from_env`] but malformed values are silently
-    /// treated as unset — the historical behavior of the raw env reads,
-    /// kept only for the legacy free functions that return plain values
-    /// and cannot surface an error. New code should use the strict
-    /// form.
+    /// treated as unset — for callers that cannot surface an error.
+    /// Code that can report one should use the strict form.
     pub fn lenient_env() -> Self {
         let mut cfg = EngineConfig::new();
         if let Ok(v) = std::env::var("SER_SIM_THREADS") {
@@ -398,13 +396,6 @@ impl PijConfig {
             tolerance: 0.0,
             exact_support: 0,
         }
-    }
-
-    /// Resolves the estimator knobs from the lenient environment
-    /// overlay — the default used by the legacy entry points that take
-    /// no explicit config.
-    pub fn from_lenient_env() -> Self {
-        EngineConfig::lenient_env().pij()
     }
 }
 

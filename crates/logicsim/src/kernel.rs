@@ -3,10 +3,9 @@
 //!
 //! Everything that evaluates logic runs through these kernels: the
 //! `P_ij` estimator's compiled cone programs ([`crate::sensitize`]),
-//! sampled signal probabilities ([`crate::probability`]), and the
-//! pointer-`Circuit` convenience wrappers in [`crate::sim`], which are
-//! thin shims that build a [`CsrView`] and forward here. Gate kinds and
-//! adjacency live in flat `u32` arrays, and the overwhelmingly common 1-
+//! sampled signal probabilities ([`crate::probability`]), and one-off
+//! evaluations of a pointer [`Circuit`](ser_netlist::Circuit) through a
+//! [`CsrView`] built once. Gate kinds and adjacency live in flat `u32` arrays, and the overwhelmingly common 1-
 //! and 2-input gates are evaluated by specialized match arms with no
 //! per-gate heap traffic. The workspace property suite
 //! (`tests/csr_hot_path_equiv.rs`) pins the kernels bit-for-bit against
@@ -67,15 +66,31 @@ pub(crate) fn eval_gate(kind: GateKind, fanin: &[u32], words: &[u64]) -> u64 {
 /// Evaluates the whole circuit for one word of 64 input vectors, writing
 /// one word per node into `words`.
 ///
-/// This is the canonical full-circuit evaluation;
-/// [`crate::sim::eval_word`] is a convenience shim over it, and the
-/// workspace property suite pins it against an independent scalar
-/// reference.
+/// This is the canonical full-circuit evaluation; the workspace
+/// property suite pins it against an independent scalar reference.
+/// Build the [`CsrView`] once and reuse it across calls.
 ///
 /// # Panics
 ///
 /// Panics if `pi_words` does not hold one word per primary input or
 /// `words` one slot per node.
+///
+/// # Example
+///
+/// ```
+/// use ser_logicsim::kernel;
+/// use ser_netlist::csr::CsrView;
+/// use ser_netlist::generate;
+///
+/// let c17 = generate::c17();
+/// let csr = CsrView::build(&c17);
+/// // Two vectors in one word: all-zeros (bit 0) and all-ones (bit 1).
+/// let words: Vec<u64> = vec![0b10; 5];
+/// let mut out = vec![0u64; c17.node_count()];
+/// kernel::eval_word(&csr, &words, &mut out);
+/// let g10 = c17.find("10").unwrap(); // 10 = NAND(1, 3)
+/// assert_eq!(out[g10.index()] & 0b11, 0b01); // NAND(0,0)=1, NAND(1,1)=0
+/// ```
 pub fn eval_word(csr: &CsrView, pi_words: &[u64], words: &mut [u64]) {
     assert_eq!(
         pi_words.len(),
@@ -375,8 +390,8 @@ mod tests {
     use ser_netlist::{Circuit, NodeId};
 
     /// Independent scalar reference over the pointer circuit —
-    /// deliberately *not* the production kernels (which `crate::sim` now
-    /// forwards to), so these tests stay a real oracle.
+    /// deliberately *not* the production kernels, so these tests stay a
+    /// real oracle.
     fn ref_gate(kind: GateKind, pins: &[u64]) -> u64 {
         let mut it = pins.iter().copied();
         let first = it.next().expect("gates have at least one fan-in");
@@ -513,6 +528,98 @@ mod tests {
             eval_word_with_flips(&csr, &pi_words, &golden, &flip, &mut got);
             assert_eq!(got, want, "flips {pair:?}");
         }
+    }
+
+    /// 64-way packed evaluation agrees with one evaluation per vector.
+    #[test]
+    fn packed_matches_scalar_on_c17() {
+        let c = generate::c17();
+        let csr = CsrView::build(&c);
+        // 32 exhaustive input combinations fit in one word.
+        let n = c.primary_inputs().len();
+        let mut words = vec![0u64; n];
+        for v in 0..32u64 {
+            for (k, w) in words.iter_mut().enumerate() {
+                if v >> k & 1 == 1 {
+                    *w |= 1 << v;
+                }
+            }
+        }
+        let mut packed = vec![0u64; c.node_count()];
+        eval_word(&csr, &words, &mut packed);
+        let mut scalar = vec![0u64; c.node_count()];
+        for v in 0..32usize {
+            let pi_bits: Vec<u64> = (0..n).map(|k| (v >> k & 1) as u64).collect();
+            eval_word(&csr, &pi_bits, &mut scalar);
+            for id in c.node_ids() {
+                assert_eq!(
+                    packed[id.index()] >> v & 1,
+                    scalar[id.index()] & 1,
+                    "node {id} vector {v}"
+                );
+            }
+        }
+    }
+
+    /// Forcing a root over the pointer-circuit cone
+    /// ([`ser_netlist::cone::fanout_cone`], root first) matches a full
+    /// re-evaluation with that root flipped.
+    #[test]
+    fn cone_forcing_matches_full_resim() {
+        let c = generate::c17();
+        let csr = CsrView::build(&c);
+        let n = c.primary_inputs().len();
+        let words: Vec<u64> = (0..n as u64)
+            .map(|k| 0xDEADBEEF_CAFEF00D ^ (k * 77))
+            .collect();
+        let mut base = vec![0u64; c.node_count()];
+        eval_word(&csr, &words, &mut base);
+        for root in c.gates() {
+            let mut cone = vec![root.index() as u32];
+            cone.extend(
+                ser_netlist::cone::fanout_cone(&c, root)
+                    .iter()
+                    .filter(|&&id| id != root)
+                    .map(|id| id.index() as u32),
+            );
+            let mut scratch = base.clone();
+            eval_cone_forced(&csr, &cone, !base[root.index()], &mut scratch);
+            let mut flip = vec![false; c.node_count()];
+            flip[root.index()] = true;
+            let mut truth = vec![0u64; c.node_count()];
+            eval_word_with_flips(&csr, &words, &base, &flip, &mut truth);
+            assert_eq!(scratch, truth, "root {root}");
+        }
+    }
+
+    /// The paper's c499 story at the logic level: simultaneous double
+    /// upsets corrupt at least as many outputs as single ones.
+    #[test]
+    fn ecc_corrects_single_but_not_all_double_flips() {
+        let ecc = generate::sec32("c499");
+        let csr = CsrView::build(&ecc);
+        let pi = vec![0u64; ecc.primary_inputs().len()];
+        let mut golden = vec![0u64; ecc.node_count()];
+        eval_word(&csr, &pi, &mut golden);
+        let mut faulty = vec![0u64; ecc.node_count()];
+        let mut corrupted = |flipped: &[NodeId]| {
+            let mut flip = vec![false; ecc.node_count()];
+            for id in flipped {
+                flip[id.index()] = true;
+            }
+            eval_word_with_flips(&csr, &pi, &golden, &flip, &mut faulty);
+            ecc.primary_outputs()
+                .iter()
+                .filter(|po| (faulty[po.index()] ^ golden[po.index()]) & 1 == 1)
+                .count()
+        };
+        let gates: Vec<_> = ecc.gates().collect();
+        let single: usize = gates.iter().take(64).map(|&g| corrupted(&[g])).sum();
+        let double: usize = gates.windows(2).take(64).map(&mut corrupted).sum();
+        assert!(
+            double >= single,
+            "double upsets must corrupt at least as much: {double} vs {single}"
+        );
     }
 
     #[test]

@@ -38,7 +38,6 @@ pub mod kernel;
 pub mod probability;
 pub mod random;
 pub mod sensitize;
-pub mod sim;
 
 pub use engine::{EngineConfig, EngineConfigError};
 pub use sensitize::{GovernedEstimate, PijRowUpdate, SensitizationMatrix};

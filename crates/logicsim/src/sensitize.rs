@@ -8,23 +8,41 @@
 //! re-evaluated, and `P_ij` accumulates whether PO `j` changed — 64
 //! vectors per pass thanks to bit-parallel words.
 //!
+//! # Entry points
+//!
+//! One estimator, run by one streamed driver, behind five functions:
+//!
+//! * [`sensitization_probabilities`] — engine knobs from the lenient
+//!   environment overlay ([`EngineConfig::lenient_env`]);
+//! * [`sensitization_probabilities_cfg`] — worker threads, chunk size
+//!   and estimator modes ([`PijConfig`]) explicit;
+//! * [`sensitization_probabilities_with_stats_cfg`] — the same plus the
+//!   run's [`EstimateStats`];
+//! * [`sensitization_probabilities_governed_cfg`] — the same under an
+//!   optional [`Deadline`] and soft memory budget, with the degradation
+//!   record ([`GovernedEstimate`]);
+//! * [`resimulate_rows_cfg`] — selected rows only, bitwise equal to the
+//!   full estimate's rows.
+//!
+//! Code that holds an [`EngineConfig`] (a session, the daemon) passes
+//! its resolved `threads()`, `cone_chunk()` and `pij()`.
+//!
 //! # Hot-path architecture
 //!
 //! The estimator runs over the flat CSR view ([`CsrView`]) with fan-out
 //! cones and reachable-PO column lists materialized in [`ConeArena`]s,
 //! so each strike resimulates exactly the nodes that can change and
-//! counts differences only at the POs it can reach. 64-vector words are
-//! distributed round-robin over worker threads ([`simulation_threads`]:
-//! `SER_SIM_THREADS` or the machine's available parallelism).
+//! counts differences only at the POs it can reach. Each 64-word block's
+//! strikes are split over the worker threads.
 //!
 //! Cones are **streamed in chunks** rather than held all at once: a
 //! [`ChunkedConeArena`] plans a PO-region partition of the roots
-//! ([`cone_chunk_size`] roots per chunk, `SER_CONE_CHUNK` to override),
-//! and the estimator builds each chunk's arena on first touch, compiles
-//! and replays its cone programs, scatters the counts, and releases the
-//! chunk before touching the next. Peak arena memory is therefore
-//! bounded by one chunk — not the whole-circuit cone closure, which on
-//! 100k-gate circuits runs to gigabytes. Per-thread simulation buffers
+//! (`chunk_size` roots per chunk), and the estimator builds each
+//! chunk's arena on first touch, compiles and replays its cone
+//! programs, scatters the counts, and releases the chunk before
+//! touching the next. Peak arena memory is therefore bounded by one
+//! chunk — not the whole-circuit cone closure, which on 100k-gate
+//! circuits runs to gigabytes. Per-thread simulation buffers
 //! and the program-compile scratch live in a pool that is reused across
 //! chunks, so the inner loop performs no per-node allocation.
 //!
@@ -76,6 +94,7 @@ use ser_netlist::csr::{ChunkedConeArena, ConeArena, CsrView};
 use ser_netlist::govern::{Deadline, DegradationEvent, Interrupted};
 use ser_netlist::{Circuit, GateKind, NodeId};
 
+use crate::engine::EngineConfig;
 pub use crate::engine::PijConfig;
 use crate::kernel;
 use crate::kernel::AlignedWords;
@@ -269,7 +288,7 @@ impl SensitizationMatrix {
     }
 
     /// Patches the rows covered by a selective re-simulation
-    /// ([`resimulate_rows`]) into the matrix, replacing the per-PO
+    /// ([`resimulate_rows_cfg`]) into the matrix, replacing the per-PO
     /// probabilities and the measured union observability of exactly the
     /// re-simulated nodes. Reachability is structural and stays as built.
     ///
@@ -295,7 +314,7 @@ impl SensitizationMatrix {
 }
 
 /// Dense replacement rows for a subset of nodes, produced by
-/// [`resimulate_rows`] and consumed by
+/// [`resimulate_rows_cfg`] and consumed by
 /// [`SensitizationMatrix::apply_update`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PijRowUpdate {
@@ -329,32 +348,6 @@ impl PijRowUpdate {
     }
 }
 
-/// Worker-thread count used by [`sensitization_probabilities`]: the
-/// `SER_SIM_THREADS` environment override when set to a positive
-/// integer, else [`std::thread::available_parallelism`].
-///
-/// Legacy convenience over [`EngineConfig::lenient_env`](crate::engine::EngineConfig::lenient_env)
-/// — malformed values are silently ignored. Callers that can surface an
-/// error should use the strict
-/// [`EngineConfig::from_env`](crate::engine::EngineConfig::from_env).
-pub fn simulation_threads() -> usize {
-    crate::engine::EngineConfig::lenient_env().threads()
-}
-
-/// Roots-per-chunk used by the streamed estimator: the `SER_CONE_CHUNK`
-/// environment override when set to a positive integer, else the
-/// built-in default of [`crate::engine::DEFAULT_CONE_CHUNK`]. Results
-/// are bitwise identical for every chunk size. The fault-free base
-/// evaluation is hoisted per word-block (not per chunk), so the knob
-/// trades peak arena memory against per-block program recompilation
-/// only — shrinking it is cheap.
-///
-/// Legacy convenience over [`EngineConfig::lenient_env`](crate::engine::EngineConfig::lenient_env)
-/// — malformed values are silently ignored.
-pub fn cone_chunk_size() -> usize {
-    crate::engine::EngineConfig::lenient_env().cone_chunk()
-}
-
 /// Memory/work profile of one streamed estimation run — the probe the
 /// scaling benchmark reads. Deliberately *not* part of
 /// [`SensitizationMatrix`], whose equality is the bitwise-determinism
@@ -380,6 +373,12 @@ pub struct EstimateStats {
 /// to a multiple of 64), PI probability 0.5, deterministic in `seed` and
 /// independent of the worker-thread count (see the module docs).
 ///
+/// Engine knobs resolve from the lenient environment overlay
+/// ([`EngineConfig::lenient_env`]): malformed `SER_*` values are
+/// ignored. Callers that can surface an error resolve
+/// [`EngineConfig::from_env`] themselves and call
+/// [`sensitization_probabilities_cfg`].
+///
 /// The paper uses 10 000 vectors; 64-way packing makes that ~157 passes
 /// over each fan-out cone.
 ///
@@ -391,70 +390,21 @@ pub fn sensitization_probabilities(
     n_vectors: usize,
     seed: u64,
 ) -> SensitizationMatrix {
-    sensitization_probabilities_threaded(circuit, n_vectors, seed, simulation_threads())
-}
-
-/// [`sensitization_probabilities`] with an explicit worker-thread count.
-/// Results are bitwise identical for every `threads` value.
-///
-/// # Panics
-///
-/// Panics if `n_vectors` or `threads` is 0.
-pub fn sensitization_probabilities_threaded(
-    circuit: &Circuit,
-    n_vectors: usize,
-    seed: u64,
-    threads: usize,
-) -> SensitizationMatrix {
-    sensitization_probabilities_chunked(circuit, n_vectors, seed, threads, cone_chunk_size())
-}
-
-/// [`sensitization_probabilities_threaded`] with an explicit
-/// roots-per-chunk for the streamed cone arena. Results are bitwise
-/// identical for every `chunk_size` (and every `threads`) value — the
-/// workspace proptests pin this.
-///
-/// # Panics
-///
-/// Panics if `n_vectors`, `threads` or `chunk_size` is 0.
-pub fn sensitization_probabilities_chunked(
-    circuit: &Circuit,
-    n_vectors: usize,
-    seed: u64,
-    threads: usize,
-    chunk_size: usize,
-) -> SensitizationMatrix {
-    sensitization_probabilities_with_stats(circuit, n_vectors, seed, threads, chunk_size).0
-}
-
-/// [`sensitization_probabilities_chunked`] plus the [`EstimateStats`]
-/// memory/work profile of the run. Estimator modes resolve from the
-/// lenient environment ([`PijConfig::from_lenient_env`]).
-///
-/// # Panics
-///
-/// Panics if `n_vectors`, `threads` or `chunk_size` is 0.
-pub fn sensitization_probabilities_with_stats(
-    circuit: &Circuit,
-    n_vectors: usize,
-    seed: u64,
-    threads: usize,
-    chunk_size: usize,
-) -> (SensitizationMatrix, EstimateStats) {
-    sensitization_probabilities_with_stats_cfg(
+    let engine = EngineConfig::lenient_env();
+    sensitization_probabilities_cfg(
         circuit,
         n_vectors,
         seed,
-        threads,
-        chunk_size,
-        &PijConfig::from_lenient_env(),
+        engine.threads(),
+        engine.cone_chunk(),
+        &engine.pij(),
     )
 }
 
-/// [`sensitization_probabilities_chunked`] with the estimator modes
-/// explicit — the entry point consumers use to pin a lane width,
-/// adaptive tolerance or exact-support threshold (see the module docs
-/// and [`PijConfig`]).
+/// [`sensitization_probabilities`] with every knob explicit: worker
+/// threads, roots per streamed cone-arena chunk and the estimator modes
+/// ([`PijConfig`]). Results are bitwise identical for every `threads`,
+/// `chunk_size` and lane width — the workspace proptests pin this.
 ///
 /// # Panics
 ///
@@ -484,76 +434,12 @@ pub fn sensitization_probabilities_with_stats_cfg(
     chunk_size: usize,
     pij: &PijConfig,
 ) -> (SensitizationMatrix, EstimateStats) {
-    assert!(n_vectors > 0, "need at least one vector");
-    assert!(threads > 0, "need at least one worker thread");
-    let outputs: Vec<NodeId> = circuit.primary_outputs().to_vec();
-    let n_pos = outputs.len();
-    let n_nodes = circuit.node_count();
-    let n_words = n_vectors.div_ceil(64);
-
-    let csr = CsrView::build(circuit);
-    let mut plan = ChunkedConeArena::plan(&csr, chunk_size);
-
-    // Scatter the flat reachable-PO counts into the dense row-major
-    // matrix; unreachable columns stay at their structural zero. The
-    // (node, col) pairs rebuild the node-ordered reachability CSR after
-    // the chunk arenas (which visit roots in PO-region order) are gone.
-    let mut p = vec![0.0f64; n_nodes * n_pos];
-    let mut obs = vec![0.0f64; n_nodes];
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-    let (stats, words_done, _) = estimate_chunks(
-        &csr,
-        &mut plan,
-        seed,
-        threads,
-        n_words,
-        pij,
-        None,
-        |root, cols, counts, obs_count, samples| {
-            let total = samples as f64;
-            let i = root as usize;
-            for (t, &col) in cols.iter().enumerate() {
-                p[i * n_pos + col as usize] = counts[t] as f64 / total;
-                pairs.push((root, col));
-            }
-            obs[i] = obs_count as f64 / total;
-        },
-    );
-
-    pairs.sort_unstable();
-    let mut reach_off = vec![0usize; n_nodes + 1];
-    for &(i, _) in &pairs {
-        reach_off[i as usize + 1] += 1;
+    match sensitization_probabilities_governed_cfg(
+        circuit, n_vectors, seed, threads, chunk_size, pij, None, None,
+    ) {
+        Ok(est) => (est.matrix, est.stats),
+        Err(_) => unreachable!("only a deadline can interrupt an estimate"),
     }
-    for i in 0..n_nodes {
-        reach_off[i + 1] += reach_off[i];
-    }
-    let reach_cols: Vec<u32> = pairs.iter().map(|&(_, c)| c).collect();
-
-    (
-        SensitizationMatrix {
-            outputs,
-            n_nodes,
-            p,
-            obs,
-            reach_off,
-            reach_cols,
-            vectors_used: words_done * 64,
-        },
-        stats,
-    )
-}
-
-/// Soft memory budget (bytes) for the streamed estimator: the
-/// `SER_MEM_SOFT_LIMIT` environment override when set to a positive
-/// byte count (optional `K`/`M`/`G` suffix, powers of 1024), else
-/// `None` (ungoverned). Only the *governed* estimation entry points
-/// honor it; see [`sensitization_probabilities_governed`].
-///
-/// Legacy convenience over [`EngineConfig::lenient_env`](crate::engine::EngineConfig::lenient_env)
-/// — malformed values are silently ignored.
-pub fn mem_soft_limit() -> Option<usize> {
-    crate::engine::EngineConfig::lenient_env().mem_soft_limit()
 }
 
 /// Outcome of a *governed* estimation run: the matrix built from every
@@ -590,10 +476,18 @@ pub struct GovernedEstimate {
     pub interrupted: Option<Interrupted>,
 }
 
-/// [`sensitization_probabilities`] under a wall-clock/cancellation
-/// budget and the environment's soft memory budget
-/// ([`mem_soft_limit`]): thread count, chunk size and memory limit all
-/// come from their environment knobs.
+/// [`sensitization_probabilities_with_stats_cfg`] under an optional
+/// wall-clock/cancellation budget and an optional soft memory budget —
+/// the estimate every other entry point runs.
+///
+/// `deadline` (or its cancel token) is checked at every 64-word block
+/// boundary — the points where the hit counters hold a consistent
+/// prefix of the vector stream; `None` performs no check at all.
+/// `mem_soft_limit` is a *soft* byte budget: before the run, the cone
+/// chunk size is halved (and the chunks replanned) until one chunk's
+/// build fits, and during the run resident chunks are shed LRU-first;
+/// both degradations are recorded as [`DegradationEvent`]s rather than
+/// failing the run, and neither changes a bit of the matrix.
 ///
 /// # Errors
 ///
@@ -601,71 +495,6 @@ pub struct GovernedEstimate {
 /// blocks completed — there is no partial result to hand back. Any
 /// later interruption returns `Ok` with
 /// [`GovernedEstimate::interrupted`] set.
-///
-/// # Panics
-///
-/// Panics if `n_vectors` is 0.
-pub fn sensitization_probabilities_governed(
-    circuit: &Circuit,
-    n_vectors: usize,
-    seed: u64,
-    deadline: &Deadline,
-) -> Result<GovernedEstimate, Interrupted> {
-    sensitization_probabilities_governed_chunked(
-        circuit,
-        n_vectors,
-        seed,
-        simulation_threads(),
-        cone_chunk_size(),
-        deadline,
-        mem_soft_limit(),
-    )
-}
-
-/// [`sensitization_probabilities_governed`] with every governor knob
-/// explicit. `mem_soft_limit` is a *soft* byte budget: before the run,
-/// the cone chunk size is halved (and the chunks replanned) until one
-/// chunk's build fits, and during the run resident chunks are shed
-/// LRU-first; both degradations are recorded as
-/// [`DegradationEvent`]s rather than failing the run. The deadline (or
-/// its cancel token) is checked at every 64-word block boundary — the
-/// points where the hit counters hold a consistent prefix of the
-/// vector stream.
-///
-/// # Errors
-///
-/// See [`sensitization_probabilities_governed`].
-///
-/// # Panics
-///
-/// Panics if `n_vectors`, `threads` or `chunk_size` is 0.
-pub fn sensitization_probabilities_governed_chunked(
-    circuit: &Circuit,
-    n_vectors: usize,
-    seed: u64,
-    threads: usize,
-    chunk_size: usize,
-    deadline: &Deadline,
-    mem_soft_limit: Option<usize>,
-) -> Result<GovernedEstimate, Interrupted> {
-    sensitization_probabilities_governed_cfg(
-        circuit,
-        n_vectors,
-        seed,
-        threads,
-        chunk_size,
-        &PijConfig::from_lenient_env(),
-        deadline,
-        mem_soft_limit,
-    )
-}
-
-/// [`sensitization_probabilities_governed_chunked`] with the estimator
-/// modes explicit (see [`PijConfig`] and the module docs).
-///
-/// # Errors
-///
-/// See [`sensitization_probabilities_governed`].
 ///
 /// # Panics
 ///
@@ -678,7 +507,7 @@ pub fn sensitization_probabilities_governed_cfg(
     threads: usize,
     chunk_size: usize,
     pij: &PijConfig,
-    deadline: &Deadline,
+    deadline: Option<&Deadline>,
     mem_soft_limit: Option<usize>,
 ) -> Result<GovernedEstimate, Interrupted> {
     assert!(n_vectors > 0, "need at least one vector");
@@ -692,6 +521,10 @@ pub fn sensitization_probabilities_governed_cfg(
     let mut events = Vec::new();
     let mut plan = plan_under_budget(&csr, chunk_size, mem_soft_limit, &mut events);
 
+    // Scatter the flat reachable-PO counts into the dense row-major
+    // matrix; unreachable columns stay at their structural zero. The
+    // (node, col) pairs rebuild the node-ordered reachability CSR after
+    // the chunk arenas (which visit roots in PO-region order) are gone.
     let mut p = vec![0.0f64; n_nodes * n_pos];
     let mut obs = vec![0.0f64; n_nodes];
     let mut pairs: Vec<(u32, u32)> = Vec::new();
@@ -702,10 +535,8 @@ pub fn sensitization_probabilities_governed_cfg(
         threads,
         n_words,
         pij,
-        Some(Governor {
-            deadline,
-            keep_resident: mem_soft_limit.is_some(),
-        }),
+        deadline,
+        mem_soft_limit.is_some(),
         |root, cols, counts, obs_count, samples| {
             let total = samples as f64;
             let i = root as usize;
@@ -752,13 +583,6 @@ pub fn sensitization_probabilities_governed_cfg(
     })
 }
 
-/// Execution-governor knobs threaded into [`estimate_chunks`]; see its
-/// docs for the semantics of each field.
-struct Governor<'a> {
-    deadline: &'a Deadline,
-    keep_resident: bool,
-}
-
 /// Plans the chunked cone arena under an optional soft byte budget:
 /// halve the chunk size (and replan) while building the first chunk
 /// overshoots the limit, then install the limit as the plan's LRU
@@ -798,75 +622,17 @@ fn plan_under_budget(
 }
 
 /// Selectively re-simulates the strike cones of `nodes` only, with the
-/// same word-blocked kernels, vector stream and counting rules as
-/// [`sensitization_probabilities`] — the rows it returns are **bitwise
-/// identical** to the corresponding rows of the full estimate at the same
-/// `(n_vectors, seed)`, at a cost proportional to the listed cones
-/// instead of the whole circuit.
+/// same word-blocked kernels, vector stream, counting rules and
+/// estimator modes as [`sensitization_probabilities_cfg`] — the rows it
+/// returns are **bitwise identical** to the corresponding rows of the
+/// full estimate at the same `(n_vectors, seed, pij)`, for every
+/// `threads` and `chunk_size`, at a cost proportional to the listed
+/// cones instead of the whole circuit. Sessions that cache a matrix
+/// must refill it with the same [`PijConfig`] it was built with.
 ///
 /// This is the cache-refill primitive of the incremental engine: when a
 /// consumer invalidates (or wants to re-estimate at higher accuracy) the
 /// `P_ij` rows of a few nodes, only those cones are replayed.
-///
-/// # Panics
-///
-/// Panics if `n_vectors` is 0.
-pub fn resimulate_rows(
-    circuit: &Circuit,
-    nodes: &[NodeId],
-    n_vectors: usize,
-    seed: u64,
-) -> PijRowUpdate {
-    resimulate_rows_threaded(circuit, nodes, n_vectors, seed, simulation_threads())
-}
-
-/// [`resimulate_rows`] with an explicit worker-thread count. Results are
-/// bitwise identical for every `threads` value.
-///
-/// # Panics
-///
-/// Panics if `n_vectors` or `threads` is 0.
-pub fn resimulate_rows_threaded(
-    circuit: &Circuit,
-    nodes: &[NodeId],
-    n_vectors: usize,
-    seed: u64,
-    threads: usize,
-) -> PijRowUpdate {
-    resimulate_rows_chunked(circuit, nodes, n_vectors, seed, threads, cone_chunk_size())
-}
-
-/// [`resimulate_rows_threaded`] with an explicit roots-per-chunk for the
-/// streamed cone arena. Results are bitwise identical for every
-/// `chunk_size` (and every `threads`) value.
-///
-/// # Panics
-///
-/// Panics if `n_vectors`, `threads` or `chunk_size` is 0.
-pub fn resimulate_rows_chunked(
-    circuit: &Circuit,
-    nodes: &[NodeId],
-    n_vectors: usize,
-    seed: u64,
-    threads: usize,
-    chunk_size: usize,
-) -> PijRowUpdate {
-    resimulate_rows_cfg(
-        circuit,
-        nodes,
-        n_vectors,
-        seed,
-        threads,
-        chunk_size,
-        &PijConfig::from_lenient_env(),
-    )
-}
-
-/// [`resimulate_rows_chunked`] with the estimator modes explicit. Rows
-/// are bitwise identical to the corresponding rows of
-/// [`sensitization_probabilities_cfg`] at the same `(n_vectors, seed,
-/// pij)` — sessions that cache a matrix must refill it with the same
-/// [`PijConfig`] it was built with.
 ///
 /// # Panics
 ///
@@ -919,6 +685,7 @@ pub fn resimulate_rows_cfg(
         n_words,
         pij,
         None,
+        false,
         |root, cols, counts, obs_count, samples| {
             let total = samples as f64;
             let t = first_slot[root as usize] as usize;
@@ -970,17 +737,16 @@ pub fn resimulate_rows_cfg(
 /// (captured on the first block so the counters can be finalized even
 /// after the chunk arenas are gone).
 ///
-/// When `govern` is `Some`, the deadline/cancel token is checked at
+/// When `deadline` is `Some`, it (or its cancel token) is checked at
 /// every word-block boundary — the only points where every counter
 /// holds a consistent prefix of the vector stream — and an expiry stops
 /// the loop there, finalizing whatever blocks completed.
 ///
-/// When the governor's `keep_resident` is set (governed runs with an
-/// LRU byte budget installed on `plan`), chunk arenas stay resident
-/// across blocks and the budget decides what to shed, trading the
-/// per-block rebuild for governed memory; otherwise each chunk is
-/// released as soon as its block slice is replayed, exactly like the
-/// ungoverned streamer.
+/// When `keep_resident` is set (runs with an LRU byte budget installed
+/// on `plan`), chunk arenas stay resident across blocks and the budget
+/// decides what to shed, trading the per-block rebuild for governed
+/// memory; otherwise each chunk is released as soon as its block slice
+/// is replayed.
 ///
 /// Estimator modes (`pij`): lane width selects the wide replay kernels
 /// (bitwise-neutral); a positive tolerance arms the per-root Wilson
@@ -998,7 +764,8 @@ fn estimate_chunks(
     threads: usize,
     n_words: usize,
     pij: &PijConfig,
-    govern: Option<Governor<'_>>,
+    deadline: Option<&Deadline>,
+    keep_resident: bool,
     mut sink: impl FnMut(u32, &[u32], &[u64], u64, u64),
 ) -> (EstimateStats, usize, Option<Interrupted>) {
     let n_chunks = plan.chunk_count();
@@ -1026,7 +793,6 @@ fn estimate_chunks(
         ..EstimateStats::default()
     };
 
-    let keep_resident = govern.as_ref().is_some_and(|g| g.keep_resident);
     let total_vectors = (n_words * 64) as u64;
     // A root may stop early only once it is at least as tight as the
     // full requested budget's own worst-case resolution.
@@ -1041,8 +807,8 @@ fn estimate_chunks(
             // cannot change any counter.
             break;
         }
-        if let Some(g) = &govern {
-            if let Err(stop) = g.deadline.check("sensitize::block") {
+        if let Some(deadline) = deadline {
+            if let Err(stop) = deadline.check("sensitize::block") {
                 interrupted = Some(stop);
                 break;
             }
@@ -2011,8 +1777,27 @@ fn eval_tagged_scalar(kind: GateKind, args: &[u32], local: &[u64], node_vals: &[
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::DEFAULT_CONE_CHUNK;
     use ser_netlist::govern::{CancelToken, InterruptReason};
     use ser_netlist::{generate, CircuitBuilder, GateKind};
+
+    /// The full estimate at the default estimator modes with explicit
+    /// threads and chunk size.
+    fn est(c: &Circuit, n: usize, seed: u64, threads: usize, chunk: usize) -> SensitizationMatrix {
+        sensitization_probabilities_cfg(c, n, seed, threads, chunk, &PijConfig::default())
+    }
+
+    /// [`est`]'s selective re-simulation twin.
+    fn resim(
+        c: &Circuit,
+        nodes: &[NodeId],
+        n: usize,
+        seed: u64,
+        threads: usize,
+        chunk: usize,
+    ) -> PijRowUpdate {
+        resimulate_rows_cfg(c, nodes, n, seed, threads, chunk, &PijConfig::default())
+    }
 
     #[test]
     fn po_is_self_sensitized() {
@@ -2137,9 +1922,9 @@ mod tests {
     #[test]
     fn thread_counts_agree_bitwise() {
         let c = generate::sec32("t");
-        let m1 = sensitization_probabilities_threaded(&c, 512, 77, 1);
-        let m2 = sensitization_probabilities_threaded(&c, 512, 77, 2);
-        let m5 = sensitization_probabilities_threaded(&c, 512, 77, 5);
+        let m1 = est(&c, 512, 77, 1, DEFAULT_CONE_CHUNK);
+        let m2 = est(&c, 512, 77, 2, DEFAULT_CONE_CHUNK);
+        let m5 = est(&c, 512, 77, 5, DEFAULT_CONE_CHUNK);
         assert_eq!(m1, m2);
         assert_eq!(m1, m5);
     }
@@ -2152,10 +1937,10 @@ mod tests {
         // reachability CSR, whose node order must survive the PO-region
         // chunk ordering).
         let c = generate::sec32("t");
-        let whole = sensitization_probabilities_chunked(&c, 512, 77, 2, c.node_count());
+        let whole = est(&c, 512, 77, 2, c.node_count());
         for chunk_size in [1, 13, 100] {
             for threads in [1, 3] {
-                let m = sensitization_probabilities_chunked(&c, 512, 77, threads, chunk_size);
+                let m = est(&c, 512, 77, threads, chunk_size);
                 assert_eq!(m, whole, "chunk {chunk_size}, {threads} threads");
             }
         }
@@ -2165,9 +1950,9 @@ mod tests {
     fn resim_chunk_sizes_agree_bitwise() {
         let c = generate::sec32("t");
         let subset: Vec<_> = c.node_ids().filter(|id| id.index() % 4 == 1).collect();
-        let whole = resimulate_rows_chunked(&c, &subset, 512, 77, 1, c.node_count());
+        let whole = resim(&c, &subset, 512, 77, 1, c.node_count());
         for chunk_size in [1, 7] {
-            let up = resimulate_rows_chunked(&c, &subset, 512, 77, 2, chunk_size);
+            let up = resim(&c, &subset, 512, 77, 2, chunk_size);
             assert_eq!(up, whole, "chunk {chunk_size}");
         }
     }
@@ -2177,7 +1962,7 @@ mod tests {
         let c = generate::c17();
         let g = c.gates().next().unwrap();
         let h = c.gates().nth(2).unwrap();
-        let up = resimulate_rows_chunked(&c, &[g, h, g], 256, 5, 1, 2);
+        let up = resim(&c, &[g, h, g], 256, 5, 1, 2);
         assert_eq!(
             up.nodes(),
             &[g.index() as u32, h.index() as u32, g.index() as u32]
@@ -2189,7 +1974,8 @@ mod tests {
     #[test]
     fn estimate_stats_profile_the_run() {
         let c = generate::sec32("t");
-        let (m, stats) = sensitization_probabilities_with_stats(&c, 512, 77, 1, 32);
+        let (m, stats) =
+            sensitization_probabilities_with_stats_cfg(&c, 512, 77, 1, 32, &PijConfig::default());
         assert_eq!(stats.chunks, c.node_count().div_ceil(32));
         assert!(stats.peak_bytes > 0);
         assert!(stats.cone_entries > c.node_count());
@@ -2207,7 +1993,7 @@ mod tests {
             stats.peak_bytes
         );
         // And the stats probe returns the same matrix.
-        assert_eq!(m, sensitization_probabilities_chunked(&c, 512, 77, 1, 32));
+        assert_eq!(m, est(&c, 512, 77, 1, 32));
     }
 
     #[test]
@@ -2313,8 +2099,8 @@ mod tests {
 
     #[test]
     fn adaptive_and_exact_are_off_by_default_wrappers_env() {
-        // The legacy wrappers read the env leniently; with no SER_*
-        // vars set they resolve to the accuracy-preserving defaults,
+        // The plain entry point reads the env leniently; with no SER_*
+        // vars set it resolves to the accuracy-preserving defaults,
         // which on c17 means every root is exact — so two different
         // seeds must agree perfectly.
         let c = generate::c17();
@@ -2330,11 +2116,11 @@ mod tests {
     #[test]
     fn selective_resim_matches_full_rows_bitwise() {
         let c = generate::sec32("t");
-        let m = sensitization_probabilities_threaded(&c, 512, 77, 1);
+        let m = est(&c, 512, 77, 1, DEFAULT_CONE_CHUNK);
         // A scattered subset: every third node, in shuffled-ish order.
         let subset: Vec<_> = c.node_ids().filter(|id| id.index() % 3 == 1).collect();
         for threads in [1usize, 3] {
-            let up = resimulate_rows_threaded(&c, &subset, 512, 77, threads);
+            let up = resim(&c, &subset, 512, 77, threads, DEFAULT_CONE_CHUNK);
             assert_eq!(up.nodes().len(), subset.len());
             for (t, &id) in subset.iter().enumerate() {
                 assert_eq!(up.row(t), m.row(id), "row of {id} ({threads} threads)");
@@ -2350,10 +2136,10 @@ mod tests {
     #[test]
     fn apply_update_patches_only_listed_rows() {
         let c = generate::c17();
-        let m256 = sensitization_probabilities(&c, 256, 5);
-        let m512 = sensitization_probabilities(&c, 512, 5);
+        let m256 = est(&c, 256, 5, 1, DEFAULT_CONE_CHUNK);
+        let m512 = est(&c, 512, 5, 1, DEFAULT_CONE_CHUNK);
         let subset: Vec<_> = c.gates().take(3).collect();
-        let up = resimulate_rows(&c, &subset, 512, 5);
+        let up = resim(&c, &subset, 512, 5, 1, DEFAULT_CONE_CHUNK);
         let mut patched = m256.clone();
         patched.apply_update(&up);
         for id in c.node_ids() {
@@ -2365,7 +2151,7 @@ mod tests {
             }
         }
         // Patching with a same-(vectors, seed) update is a no-op.
-        let noop = resimulate_rows(&c, &subset, 256, 5);
+        let noop = resim(&c, &subset, 256, 5, 1, DEFAULT_CONE_CHUNK);
         let mut same = m256.clone();
         same.apply_update(&noop);
         assert_eq!(same, m256);
@@ -2374,7 +2160,7 @@ mod tests {
     #[test]
     fn empty_resim_is_trivial() {
         let c = generate::c17();
-        let up = resimulate_rows(&c, &[], 128, 1);
+        let up = resim(&c, &[], 128, 1, 1, DEFAULT_CONE_CHUNK);
         assert!(up.nodes().is_empty());
         assert_eq!(up.vectors_used(), 128);
     }
@@ -2451,14 +2237,15 @@ mod tests {
     #[test]
     fn governed_full_run_matches_ungoverned_bitwise() {
         let c = generate::sec32("t");
-        let plain = sensitization_probabilities_chunked(&c, 512, 77, 2, 13);
-        let gov = sensitization_probabilities_governed_chunked(
+        let plain = est(&c, 512, 77, 2, 13);
+        let gov = sensitization_probabilities_governed_cfg(
             &c,
             512,
             77,
             2,
             13,
-            &Deadline::none(),
+            &PijConfig::default(),
+            Some(&Deadline::none()),
             None,
         )
         .unwrap();
@@ -2472,8 +2259,17 @@ mod tests {
     fn expired_deadline_interrupts_before_any_work() {
         let c = generate::c17();
         let deadline = Deadline::within(std::time::Duration::ZERO);
-        let err = sensitization_probabilities_governed_chunked(&c, 512, 7, 1, 16, &deadline, None)
-            .unwrap_err();
+        let err = sensitization_probabilities_governed_cfg(
+            &c,
+            512,
+            7,
+            1,
+            16,
+            &PijConfig::default(),
+            Some(&deadline),
+            None,
+        )
+        .unwrap_err();
         assert_eq!(err.stage, "sensitize::block");
         assert_eq!(err.reason, InterruptReason::DeadlineExpired);
     }
@@ -2484,8 +2280,17 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let deadline = Deadline::none().with_token(token);
-        let err = sensitization_probabilities_governed_chunked(&c, 512, 7, 1, 16, &deadline, None)
-            .unwrap_err();
+        let err = sensitization_probabilities_governed_cfg(
+            &c,
+            512,
+            7,
+            1,
+            16,
+            &PijConfig::default(),
+            Some(&deadline),
+            None,
+        )
+        .unwrap_err();
         assert_eq!(err.reason, InterruptReason::Cancelled);
     }
 
@@ -2495,14 +2300,15 @@ mod tests {
         // A one-byte budget forces the preflight all the way down to
         // one-root chunks and arms LRU shedding; the matrix must still
         // be bitwise identical (chunk-size invariance).
-        let plain = sensitization_probabilities_chunked(&c, 512, 77, 2, 64);
-        let gov = sensitization_probabilities_governed_chunked(
+        let plain = est(&c, 512, 77, 2, 64);
+        let gov = sensitization_probabilities_governed_cfg(
             &c,
             512,
             77,
             2,
             64,
-            &Deadline::none(),
+            &PijConfig::default(),
+            Some(&Deadline::none()),
             Some(1),
         )
         .unwrap();
@@ -2526,20 +2332,18 @@ mod tests {
     #[test]
     fn generous_memory_budget_degrades_nothing() {
         let c = generate::c17();
-        let gov = sensitization_probabilities_governed_chunked(
+        let gov = sensitization_probabilities_governed_cfg(
             &c,
             256,
             5,
             1,
             16,
-            &Deadline::none(),
+            &PijConfig::default(),
+            Some(&Deadline::none()),
             Some(1 << 30),
         )
         .unwrap();
         assert!(gov.events.is_empty(), "events: {:?}", gov.events);
-        assert_eq!(
-            gov.matrix,
-            sensitization_probabilities_chunked(&c, 256, 5, 1, 16)
-        );
+        assert_eq!(gov.matrix, est(&c, 256, 5, 1, 16));
     }
 }

@@ -104,15 +104,10 @@ fn lenient_overlay_silently_ignores_garbage() {
     );
     assert_eq!(cfg.sim_threads, Some(2));
     assert_eq!(cfg.cone_chunk, None);
-    // …which is also what the legacy free functions expose.
-    let (threads, chunk) = with_env(&[("SER_CONE_CHUNK", "banana")], || {
-        (
-            ser_logicsim::sensitize::simulation_threads(),
-            ser_logicsim::sensitize::cone_chunk_size(),
-        )
-    });
-    assert!(threads >= 1);
-    assert_eq!(chunk, DEFAULT_CONE_CHUNK);
+    // …which resolves to the defaults.
+    let cfg = with_env(&[("SER_CONE_CHUNK", "banana")], EngineConfig::lenient_env);
+    assert!(cfg.threads() >= 1);
+    assert_eq!(cfg.cone_chunk(), DEFAULT_CONE_CHUNK);
 }
 
 #[test]
@@ -156,8 +151,9 @@ fn strict_overlay_rejects_malformed_estimator_knobs() {
 fn lenient_estimator_knobs_ignore_garbage_but_honor_zero() {
     let pij = with_env(
         &[("SER_SIMD_LANES", "nope"), ("SER_PIJ_TOL", "0")],
-        ser_logicsim::sensitize::PijConfig::from_lenient_env,
-    );
+        EngineConfig::lenient_env,
+    )
+    .pij();
     assert_eq!(pij.lanes, 4); // garbage ignored → default
     assert_eq!(pij.tolerance, 0.0); // an explicit 0 pins adaptivity off
     assert_eq!(pij.exact_support, 20); // unset → default

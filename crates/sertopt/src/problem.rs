@@ -38,7 +38,7 @@
 
 use aserta::{timing_view, AnalysisSession, AsertaConfig, CircuitCells};
 use ser_cells::Library;
-use ser_logicsim::sensitize::{sensitization_probabilities, simulation_threads};
+use ser_logicsim::sensitize::sensitization_probabilities;
 use ser_logicsim::SensitizationMatrix;
 use ser_netlist::{topo, Circuit, NodeId};
 use serde::{Deserialize, Serialize};
@@ -211,7 +211,7 @@ pub struct DelayProblem<'a> {
     /// How candidates are measured.
     pub strategy: EvalStrategy,
     /// Worker threads for [`DelayProblem::evaluate_batch`] (0 = the
-    /// `SER_SIM_THREADS`/available-parallelism default). Results are
+    /// thread count of the session's resolved engine). Results are
     /// identical for every value.
     pub threads: usize,
     plan: MatchPlan,
@@ -404,7 +404,7 @@ impl<'a> DelayProblem<'a> {
             EvalStrategy::FreshPerMove => 1,
             EvalStrategy::Incremental => {
                 let t = if self.threads == 0 {
-                    simulation_threads()
+                    self.replicas[0].session.engine().threads()
                 } else {
                     self.threads
                 };

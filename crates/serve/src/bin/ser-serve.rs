@@ -38,6 +38,13 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let rest = &args[1..];
+    if let Some(bad) = rest
+        .iter()
+        .find(|a| a.starts_with("--") && !known_flags(cmd).contains(&a.as_str()))
+    {
+        eprintln!("ser-serve: unknown flag `{bad}` for `{cmd}`\n{USAGE}");
+        return ExitCode::from(2);
+    }
     let outcome = match cmd.as_str() {
         "serve" => cmd_serve(rest),
         "ping" => client_round_trip(rest, |_| Ok(Request::Ping)),
@@ -113,6 +120,68 @@ const USAGE: &str =
             [--lanes 1|2|4|8] [--pij-tol T] [--exact-support N]
   clients   --connect unix:<path>|tcp:<host:port> plus per-command flags
             (see the crate README's Serving section)";
+
+/// The flags each subcommand reads; any other `--flag` is rejected
+/// rather than silently ignored.
+fn known_flags(cmd: &str) -> &'static [&'static str] {
+    match cmd {
+        "serve" => &[
+            "--listen",
+            "--workers",
+            "--pool-budget",
+            "--pool-dir",
+            "--max-frame",
+            "--threads",
+            "--cone-chunk",
+            "--lanes",
+            "--pij-tol",
+            "--exact-support",
+        ],
+        "ping" | "stats" | "shutdown" => &["--connect"],
+        "analyze" => &[
+            "--connect",
+            "--circuit",
+            "--vectors",
+            "--seed",
+            "--charge-fc",
+            "--grids",
+            "--deadline-ms",
+        ],
+        "sweep" => &[
+            "--connect",
+            "--circuit",
+            "--vectors",
+            "--seed",
+            "--charge-fc",
+            "--grids",
+            "--deadline-ms",
+            "--vdds",
+            "--vths",
+            "--charges-fc",
+            "--threads",
+        ],
+        "optimize" => &[
+            "--connect",
+            "--circuit",
+            "--algo",
+            "--profile",
+            "--iters",
+            "--seed",
+            "--vectors",
+            "--threads",
+            "--budget-ms",
+        ],
+        "snapshot" => &[
+            "--connect",
+            "--circuit",
+            "--vectors",
+            "--seed",
+            "--charge-fc",
+            "--grids",
+        ],
+        _ => &[],
+    }
+}
 
 // ------------------------------------------------------------- serve
 

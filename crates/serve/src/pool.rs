@@ -416,9 +416,10 @@ impl SessionPool {
         grids: GridKind,
     ) -> Result<AnalysisSession<'static>, ApiError> {
         let library = Library::new(Technology::ptm70(), grids.grids());
-        // Never governed: a deadline-truncated Monte-Carlo estimate
-        // would make this session's answers non-canonical and poison
-        // every later warm response. Cold builds run to completion; the
+        // No deadline: a truncated Monte-Carlo estimate would make this
+        // session's answers non-canonical and poison every later warm
+        // response. Cold builds run to completion (under the engine's
+        // soft memory budget, which never changes a bit); the
         // per-request deadline only binds the warm delta work.
         AnalysisSession::builder(
             circuit,

@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use aserta::{AnalysisSession, AsertaConfig, CircuitCells};
+use aserta::{AnalysisSession, AsertaConfig, CircuitCells, EngineConfig};
 use ser_cells::Library;
 use ser_netlist::govern::Deadline;
 use ser_netlist::Circuit;
@@ -499,6 +499,22 @@ fn eval_corner(
     })
 }
 
+/// Replica workers for a sweep over `corners` corners: the request's
+/// `threads`, or the daemon engine's thread count when it asks for the
+/// server default (0); never more workers than corners. The daemon
+/// engine ([`PoolConfig::engine`]) rather than the session's, because
+/// a session restored from an image carries a default engine; `ser-serve
+/// serve` resolves it from `--threads`, else `SER_SIM_THREADS`, else the
+/// machine's parallelism.
+fn sweep_workers(threads: u64, engine: &EngineConfig, corners: usize) -> usize {
+    let requested = if threads == 0 {
+        engine.threads()
+    } else {
+        threads as usize
+    };
+    requested.min(corners).max(1)
+}
+
 #[allow(clippy::too_many_arguments)]
 fn sweep(
     pool: &SessionPool,
@@ -528,13 +544,7 @@ fn sweep(
     pool.with_session(circuit, cfg, grids, |session| {
         session.set_deadline(request_deadline(deadline_ms));
         let base = CircuitCells::nominal(circuit);
-        let workers = if threads == 0 {
-            ser_logicsim::sensitize::simulation_threads()
-        } else {
-            threads as usize
-        }
-        .min(corners.len())
-        .max(1);
+        let workers = sweep_workers(threads, pool.engine(), corners.len());
         let results: Vec<Result<SweepPoint, ApiError>> = if workers == 1 {
             corners
                 .iter()
@@ -630,4 +640,23 @@ fn snapshot(
 ) -> Result<(PathBuf, u64), ApiError> {
     let circuit = intern_circuit(source.instantiate()?);
     pool.force_snapshot(circuit, cfg, grids)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sweep_workers_default_to_the_daemon_engine() {
+        // `threads: 0` follows the daemon's `--threads`, not the
+        // machine's parallelism.
+        let one = EngineConfig::new().with_threads(1);
+        assert_eq!(sweep_workers(0, &one, 27), 1);
+        let three = EngineConfig::new().with_threads(3);
+        assert_eq!(sweep_workers(0, &three, 27), 3);
+        // An explicit request wins; no more workers than corners.
+        assert_eq!(sweep_workers(5, &one, 27), 5);
+        assert_eq!(sweep_workers(0, &three, 2), 2);
+        assert_eq!(sweep_workers(8, &one, 0), 1);
+    }
 }

@@ -13,8 +13,7 @@
 
 use proptest::prelude::*;
 use soft_error::logicsim::sensitize::{
-    resimulate_rows_chunked, sensitization_probabilities_cfg, sensitization_probabilities_chunked,
-    PijConfig,
+    resimulate_rows_cfg, sensitization_probabilities_cfg, PijConfig,
 };
 use soft_error::netlist::csr::{ChunkedConeArena, ConeArena, CsrView};
 use soft_error::netlist::generate::{layered, LayeredSpec};
@@ -77,13 +76,13 @@ proptest! {
         seed in 0u64..1 << 40,
     ) {
         let n_vectors = 192; // 3 words: exercises uneven word blocks
-        let monolithic = sensitization_probabilities_chunked(
-            &circuit, n_vectors, seed, 1, circuit.node_count(),
+        let monolithic = sensitization_probabilities_cfg(
+            &circuit, n_vectors, seed, 1, circuit.node_count(), &PijConfig::default(),
         );
         for threads in [1usize, 2, 7] {
             for chunk_size in [1usize, 3, 16, 64] {
-                let m = sensitization_probabilities_chunked(
-                    &circuit, n_vectors, seed, threads, chunk_size,
+                let m = sensitization_probabilities_cfg(
+                    &circuit, n_vectors, seed, threads, chunk_size, &PijConfig::default(),
                 );
                 prop_assert_eq!(
                     &m, &monolithic,
@@ -137,8 +136,8 @@ proptest! {
         stride in 2usize..5,
     ) {
         let n_vectors = 192;
-        let full = sensitization_probabilities_chunked(
-            &circuit, n_vectors, seed, 1, circuit.node_count(),
+        let full = sensitization_probabilities_cfg(
+            &circuit, n_vectors, seed, 1, circuit.node_count(), &PijConfig::default(),
         );
         let subset: Vec<NodeId> = circuit
             .node_ids()
@@ -148,8 +147,9 @@ proptest! {
         let n_pos = circuit.primary_outputs().len();
         for threads in [1usize, 3] {
             for chunk_size in [1usize, 4, 64] {
-                let up = resimulate_rows_chunked(
+                let up = resimulate_rows_cfg(
                     &circuit, &subset, n_vectors, seed, threads, chunk_size,
+                    &PijConfig::default(),
                 );
                 for (t, &id) in subset.iter().enumerate() {
                     prop_assert_eq!(

@@ -1,8 +1,7 @@
 //! Property-based equivalence of the CSR/parallel hot-path kernels
 //! against **independent in-test scalar references** (the seed
-//! implementations, captured here verbatim — `ser_logicsim::sim` is a
-//! shim over the CSR kernels since the single-engine consolidation, so
-//! it can no longer serve as an oracle), on random layered circuits:
+//! implementations, captured here verbatim, so no production kernel
+//! serves as its own oracle), on random layered circuits:
 //!
 //! * `kernel::eval_word` (CSR) must match the scalar reference bit for
 //!   bit;
@@ -15,10 +14,10 @@ use proptest::prelude::*;
 use soft_error::aserta::electrical::ExpectedWidths;
 use soft_error::aserta::glitch::AttenuationModel;
 use soft_error::aserta::logical::{pi_weights, successor_sensitizations};
+use soft_error::logicsim::engine::DEFAULT_CONE_CHUNK;
 use soft_error::logicsim::random::random_word;
 use soft_error::logicsim::sensitize::{
-    sensitization_probabilities_cfg, sensitization_probabilities_threaded, PijConfig,
-    SensitizationMatrix,
+    sensitization_probabilities_cfg, PijConfig, SensitizationMatrix,
 };
 use soft_error::logicsim::{kernel, probability};
 use soft_error::netlist::cone::fanout_cone;
@@ -214,8 +213,7 @@ fn reference_expected_widths(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// CSR word evaluation agrees bit for bit with the scalar reference
-    /// (and the `sim` shim forwards to the kernel faithfully).
+    /// CSR word evaluation agrees bit for bit with the scalar reference.
     #[test]
     fn csr_eval_word_matches_scalar(circuit in arbitrary_circuit(), seed in 0u64..1 << 40) {
         let csr = CsrView::build(&circuit);
@@ -223,8 +221,7 @@ proptest! {
         let want = ref_eval_word(&circuit, &pi_words);
         let mut got = vec![0u64; circuit.node_count()];
         kernel::eval_word(&csr, &pi_words, &mut got);
-        prop_assert_eq!(&got, &want);
-        prop_assert_eq!(soft_error::logicsim::sim::eval_word(&circuit, &pi_words), want);
+        prop_assert_eq!(got, want);
     }
 
     /// The blocked/parallel estimator in fixed-budget mode
@@ -263,7 +260,9 @@ proptest! {
     /// pre-hoist implementation within 1e-15 at every table entry.
     #[test]
     fn expected_widths_match_pre_hoist(circuit in arbitrary_circuit(), seed in 0u64..1 << 40) {
-        let pij = sensitization_probabilities_threaded(&circuit, 256, seed, 1);
+        let pij = sensitization_probabilities_cfg(
+            &circuit, 256, seed, 1, DEFAULT_CONE_CHUNK, &PijConfig::default(),
+        );
         let probs = probability::static_probabilities_analytic(&circuit, 0.5);
         let delays: Vec<f64> = (0..circuit.node_count())
             .map(|i| (5 + (i * 7) % 20) as f64 * 1e-12)
